@@ -19,6 +19,7 @@ Note: arguments that begin with "-" (like the curve "-1,0") must follow a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .ec_heights import (
     build_duplication_system,
     enumerate_points,
     g_map,
+    height_cap,
     hx,
     quotient_identity_check,
     sigma,
@@ -296,6 +298,20 @@ def cmd_verify(args) -> dict:
     }
 
 
+def _log_height(text: str) -> float:
+    """argparse type for --height-log and --search-log: a float that
+    height_cap accepts, so a bad bound is a usage error (exit 2)."""
+    try:
+        value = float(text)
+        height_cap(value)
+    except (ValueError, OverflowError):
+        top = math.log(sys.float_info.max)
+        raise argparse.ArgumentTypeError(
+            f"expected a log-height in [0, {top:.2f}], got {text!r}"
+        ) from None
+    return value
+
+
 def _render_human(envelope: dict, out) -> None:
     def walk(prefix: str, value):
         if isinstance(value, dict):
@@ -343,24 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="all points with x-height below a bound")
     add_curve(p)
-    p.add_argument("--height-log", type=float, required=True, dest="height_log")
+    p.add_argument("--height-log", type=_log_height, required=True, dest="height_log")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("descend", help="run the m=2 descent on a point")
     add_curve(p)
     p.add_argument("point", help='start point "x,y" or "O"')
     p.add_argument("--constants", default="auto", help="'auto' or explicit 'c1,c2'")
-    p.add_argument("--search-log", type=float, default=None, dest="search_log")
+    p.add_argument("--search-log", type=_log_height, default=None, dest="search_log")
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("rank-bounds", help="crude 2-descent rank bounds")
     add_curve(p)
-    p.add_argument("--search-log", type=float, default=None, dest="search_log")
+    p.add_argument("--search-log", type=_log_height, default=None, dest="search_log")
     p.set_defaults(func=cmd_rank_bounds)
 
     p = sub.add_parser("torsion", help="torsion subgroup by bounded search")
     add_curve(p)
-    p.add_argument("--search-log", type=float, default=None, dest="search_log")
+    p.add_argument("--search-log", type=_log_height, default=None, dest="search_log")
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("verify", help="exact identity checks for a curve")
@@ -373,7 +389,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int<->str digit limit (4300 by default) while the CLI
+    runs: exact results such as mul by 120 print far longer integers. A
+    no-op on Pythons without sys.set_int_max_str_digits."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def main(argv: list[str] | None = None) -> int:
+    with _unlimited_int_digits():
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

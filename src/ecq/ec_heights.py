@@ -10,6 +10,7 @@ zero defect really comes out as 0.0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,10 +206,98 @@ def _require_integral(curve: ShortCurve) -> tuple[int, int]:
 
 
 def height_cap(log_bound: float) -> int:
-    """Largest integer magnitude H with log H <= log_bound (float-fuzz safe)."""
-    if log_bound < 0:
-        raise ValueError("log_bound must be >= 0")
+    """Largest integer magnitude H with log H <= log_bound (float-fuzz safe).
+
+    Raises ValueError unless log_bound is finite and >= 0 (NaN included), and
+    OverflowError when e^log_bound exceeds the float range.
+    """
+    if not math.isfinite(log_bound) or log_bound < 0:
+        raise ValueError(f"log_bound must be finite and >= 0, got {log_bound!r}")
     return int(math.exp(log_bound) * (1 + 1e-12) + 1e-9)
+
+
+# (modulus, its prime) pairs for the row sieve of enumerate_points, in the
+# order they are applied: prime powers, best rejection per unit of cost first.
+_SIEVE_MODULI = (
+    (16, 2), (9, 3), (5, 5), (7, 7), (11, 11), (13, 13), (17, 17), (19, 19),
+    (23, 23), (29, 29), (31, 31), (37, 37), (41, 41), (43, 43), (47, 47),
+    (53, 53), (59, 59), (61, 61),
+)
+
+
+def _sieve_moduli(cap: int) -> tuple[tuple[int, int], ...]:
+    """The prefix of _SIEVE_MODULI that sieves the box |a| <= cap, d*d <= cap
+    at the least modelled cost; empty for tiny boxes, which then run the plain
+    loop over every cell.
+
+    Costs are in exact cell tests. Without a sieve every cell is one test. A
+    sieved cell that survives costs two: finding its bit, then the test. A
+    modulus m passes about (m + 1) / 2m of the survivors, and costs about
+    three tests per row for its AND plus m tests to build its pattern for
+    each of at most min(rows, m) distinct rows.
+    """
+    rows = isqrt(cap)
+    survivors = 2 * cap + 1
+    best_cost, best_count = survivors * rows, 0
+    sieve_cost = 0
+    for count, (m, _) in enumerate(_SIEVE_MODULI, 1):
+        survivors = survivors * (m + 1) // (2 * m)
+        sieve_cost += 3 * rows + m * min(rows, m)
+        if sieve_cost >= best_cost:
+            break
+        cost = sieve_cost + 2 * survivors * rows
+        if cost < best_cost:
+            best_cost, best_count = cost, count
+    return _SIEVE_MODULI[:best_count]
+
+
+@functools.cache
+def _squares_mod(m: int) -> frozenset[int]:
+    return frozenset(r * r % m for r in range(m))
+
+
+def _residue_pattern(m: int, c1: int, c0: int, unit_only: bool, p: int) -> int:
+    """The m-bit pattern whose bit r is set when a = r (mod m) passes:
+    a^3 + c1 a + c0 is a square mod m and, if unit_only, p does not divide a."""
+    squares = _squares_mod(m)
+    pattern = 0
+    for r in range(m):
+        if (r * r * r + c1 * r + c0) % m in squares and not (unit_only and r % p == 0):
+            pattern |= 1 << r
+    return pattern
+
+
+# a row is sieved in blocks of at most this many bits, so memory stays bounded
+# however large the box
+_SIEVE_BLOCK = 1 << 16
+# byte value -> 1 when nonzero, for finding the nonzero bytes of a sieved block
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _sieved_row(cap: int, row_patterns, repunits):
+    """The a in [-cap, cap], in increasing order, that every (m, pattern) in
+    row_patterns lets through.
+
+    Bit i of a block starting at a0 stands for a = a0 + i. Rotating an m-bit
+    pattern by a0 mod m and multiplying it by the repunit of period m repeats
+    it across the whole block.
+    """
+    for a0 in range(-cap, cap + 1, _SIEVE_BLOCK):
+        width = min(_SIEVE_BLOCK, cap + 1 - a0)
+        block = (1 << width) - 1
+        for m, pattern in row_patterns:
+            s = a0 % m
+            block &= ((pattern >> s | pattern << (m - s)) & ((1 << m) - 1)) * repunits[m]
+        data = block.to_bytes((width + 7) // 8, "little")
+        nonzero = data.translate(_NONZERO)
+        k = nonzero.find(1)
+        while k >= 0:
+            byte = data[k]
+            while byte:
+                low = byte & -byte
+                yield a0 + 8 * k + low.bit_length() - 1
+                byte ^= low
+            k = nonzero.find(1, k + 1)
 
 
 def enumerate_points(curve: ShortCurve, log_bound: float) -> list[Point]:
@@ -218,9 +307,19 @@ def enumerate_points(curve: ShortCurve, log_bound: float) -> list[Point]:
     keeps (a, d) exactly when a^3 + A a d^4 + B d^6 is a perfect square b^2.
     Requires integral A, B. Output order is deterministic: the basepoint,
     then increasing d, increasing a, positive y first.
+
+    Each row d is sieved first (ratpoints-style): the row a in [-H, H] is a
+    big-int bitset, ANDed with m-periodic patterns of the residues a mod m
+    for which the right-hand side is a square mod m and, when p | d, a is a
+    unit mod p. Only the surviving a reach the exact gcd / isqrt test, so the
+    sieve changes the cost but never the output or its order.
     """
     a_coeff, b_coeff = _require_integral(curve)
     cap = height_cap(log_bound)
+    moduli = _sieve_moduli(cap)
+    span = min(_SIEVE_BLOCK, 2 * cap + 1)
+    repunits = {m: ((1 << (m * (span // m + 2))) - 1) // ((1 << m) - 1) for m, _ in moduli}
+    patterns: dict[tuple[int, int, int, bool], int] = {}
     out = [INFINITY]
     d = 1
     while d * d <= cap:
@@ -228,7 +327,17 @@ def enumerate_points(curve: ShortCurve, log_bound: float) -> list[Point]:
         d6 = b_coeff * d**6
         dd = d * d
         d3 = d**3
-        for a in range(-cap, cap + 1):
+        survivors = range(-cap, cap + 1)
+        if moduli:
+            row_patterns = []
+            for m, p in moduli:
+                key = (m, d4 % m, d6 % m, d % p == 0)
+                pattern = patterns.get(key)
+                if pattern is None:
+                    pattern = patterns[key] = _residue_pattern(*key, p)
+                row_patterns.append((m, pattern))
+            survivors = _sieved_row(cap, row_patterns, repunits)
+        for a in survivors:
             if gcd(a, d) != 1:
                 continue
             rhs = a * a * a + d4 * a + d6

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .arith import factorize, squarefree_part
 from .curves import ShortCurve, compute_invariants
-from .errors import ModelError, NonIntegralModelError
+from .errors import ModelError
 from .group import INFINITY, Point, add, negate, order_of_point, two_torsion
-from .ec_heights import enumerate_points
+from .ec_heights import _require_integral, enumerate_points
 
 # Largest possible order of a rational torsion point (Mazur's theorem);
 # order_of_point searches no further than this.
@@ -232,13 +232,6 @@ def coset_representatives(
         img = delta_map(model, p)
         by_class.setdefault((img.c1, img.c2), p)
     return [by_class[key] for key in sorted(by_class)]
-
-
-def _require_integral(curve: ShortCurve) -> None:
-    if curve.A.denominator != 1 or curve.B.denominator != 1:
-        raise NonIntegralModelError(
-            f"{curve!r} is not integral; rescale with curves.integral_short_model first"
-        )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
-from ecq.cli import main
+import pytest
+
+from ecq.cli import _unlimited_int_digits, main
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +194,33 @@ def test_parse_fuzz_never_escapes_exit_contract(capsys):
         )
         code, _, _ = run_cli(capsys, "--json", *argv)
         assert code in {0, 1, 2, 3, 4, 5}, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "0,1", "--height-log", "nan"],
+        ["search", "0,1", "--height-log", "inf"],
+        ["search", "0,1", "--height-log=-1"],
+        ["search", "0,1", "--height-log", "1e6"],
+        ["torsion", "0,1", "--search-log", "nan"],
+        ["torsion", "0,1", "--search-log=-inf"],
+        ["rank-bounds", "--search-log", "inf", "--", "-1,0"],
+        ["descend", "--search-log", "nan", "--", "-1,0", "0,0"],
+    ],
+)
+def test_bad_height_bound_is_parse_error_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "log-height" in err
+
+
+def test_point_mul_beyond_int_str_digit_limit(capsys):
+    # [120](-4, 6) on y^2 = x^3 - 25x has coordinates far past 4300 digits
+    env = run_json(capsys, "point", "--", "-25,0", "mul", "120", "-4,6")
+    x_text, y_text = env["result"]["point"].split(",")
+    assert len(x_text) > 4300
+    with _unlimited_int_digits():
+        x, y = Fraction(x_text), Fraction(y_text)
+    assert y * y == x**3 - 25 * x

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
-from math import log
+from math import gcd, isqrt, log
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecq import (
     INFINITY,
@@ -32,6 +34,7 @@ from ecq import (
     x_projective,
 )
 from ecq.arith import sqrt_rational
+from ecq import ec_heights
 from ecq.ec_heights import g_map_forms, height_cap
 from ecq.polynomials import Poly
 
@@ -275,6 +278,101 @@ def test_height_cap_float_fuzz():
     assert height_cap(log(1)) == 1
     assert height_cap(0.0) == 1
     assert height_cap(log(10**6)) == 10**6
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+def test_height_cap_rejects_non_finite_and_negative(bad):
+    with pytest.raises(ValueError):
+        height_cap(bad)
+    with pytest.raises(ValueError):
+        enumerate_points(X3P1, bad)
+
+
+def reference_points(curve, log_bound):
+    """The unsieved search: an exact gcd / isqrt test on every (a, d) cell."""
+    a_coeff, b_coeff = int(curve.A), int(curve.B)
+    cap = height_cap(log_bound)
+    out = [INFINITY]
+    d = 1
+    while d * d <= cap:
+        d4 = a_coeff * d**4
+        d6 = b_coeff * d**6
+        for a in range(-cap, cap + 1):
+            if gcd(a, d) != 1:
+                continue
+            rhs = a * a * a + d4 * a + d6
+            if rhs < 0:
+                continue
+            b = isqrt(rhs)
+            if b * b != rhs:
+                continue
+            x = F(a, d * d)
+            if b == 0:
+                out.append(Point(x, F(0)))
+            else:
+                out.append(Point(x, F(b, d**3)))
+                out.append(Point(x, F(-b, d**3)))
+        d += 1
+    return out
+
+
+@given(
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.floats(min_value=0.0, max_value=7.0),
+)
+def test_enumerate_points_matches_reference_in_order(A, B, h):
+    if 4 * A**3 + 27 * B**2 == 0:
+        return
+    curve = ShortCurve(A, B)
+    assert enumerate_points(curve, h) == reference_points(curve, h)
+
+
+@pytest.mark.parametrize(
+    "A,B,bound,planted",
+    [
+        # rows d = 6, 10 and 12, each with two prime factors
+        (-50, -23, log(144), Point.affine(F(-47, 36), F(1367, 216))),
+        (-46, 18, log(144), Point.affine(F(9, 100), F(3723, 1000))),
+        (-45, 25, log(144), Point.affine(F(25, 144), F(7165, 1728))),
+        # full 2-torsion: points with y = 0
+        (-1, 0, log(100), Point.affine(1, 0)),
+        (-25, 0, 6.0, Point.affine(5, 0)),
+        (-36, 0, log(300), Point.affine(-3, 9)),
+        (-7, 6, log(50), Point.affine(2, 0)),
+        # Z/7 torsion
+        (-43, 166, 6.0, Point.affine(-5, 16)),
+        # height_cap lands exactly on the height of a point
+        (0, -2, log(129), Point.affine(F(129, 100), F(-383, 1000))),
+        (0, 1, log(2), Point.affine(2, -3)),
+    ],
+)
+def test_enumerate_points_fixed_cases(A, B, bound, planted):
+    curve = ShortCurve(A, B)
+    got = enumerate_points(curve, bound)
+    assert got == reference_points(curve, bound)
+    assert planted in got
+    assert hx(curve, planted).magnitude <= height_cap(bound)
+
+
+@pytest.mark.parametrize("A,B", [(0, 17), (-43, 166), (-36, 0), (5, -3), (0, -2)])
+def test_enumerate_points_every_modulus_and_small_blocks(monkeypatch, A, B):
+    # force every sieve modulus on a box where the cost model would keep
+    # fewer, and split each row into blocks shorter than most moduli
+    monkeypatch.setattr(ec_heights, "_sieve_moduli", lambda cap: ec_heights._SIEVE_MODULI)
+    curve = ShortCurve(A, B)
+    for block in (8, 23, 64):
+        monkeypatch.setattr(ec_heights, "_SIEVE_BLOCK", block)
+        for bound in (0.0, log(7), 5.0):
+            assert enumerate_points(curve, bound) == reference_points(curve, bound)
+
+
+def test_sieve_moduli_follow_the_box():
+    assert ec_heights._sieve_moduli(height_cap(2.0)) == ()
+    small = ec_heights._sieve_moduli(height_cap(5.0))
+    large = ec_heights._sieve_moduli(height_cap(10.0))
+    assert 0 < len(small) < len(large)
+    assert large == ec_heights._SIEVE_MODULI[: len(large)]
 
 
 def test_naive_form():
